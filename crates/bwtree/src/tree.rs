@@ -408,9 +408,16 @@ impl BwTree {
                 }
             }
         }
-        let base = nodes.last().expect("chain has a base");
-        let Node::InnerBase(ib) = base else {
-            unreachable!("inner chain must end in InnerBase");
+        // Only inner chains are routed, and an inner chain always ends in
+        // its InnerBase. Server connection threads run reads too, so a
+        // broken chain restarts the descent instead of aborting here:
+        // every caller bounds its walk (find_leaf asserts on a livelock).
+        debug_assert!(
+            matches!(nodes.last(), Some(Node::InnerBase(_))),
+            "inner chain must end in InnerBase"
+        );
+        let Some(Node::InnerBase(ib)) = nodes.last() else {
+            return Route::Sibling(self.root_pid());
         };
         if let Some(hk) = &ib.high_key {
             // Keys beyond the (fenced) high key chase the right link.
@@ -565,8 +572,24 @@ impl BwTree {
     /// Counts one logical get; a hit additionally counts one main-memory
     /// operation, matching [`BwTree::try_get`].
     pub fn try_get_async(&self, key: &[u8]) -> TryGetAsync {
-        bump!(self.stats, gets);
-        self.probe_get(key, true)
+        let (leaf, probe) = self.probe_get(key);
+        self.count_get(leaf, matches!(probe, TryGetAsync::Hit(_)));
+        probe
+    }
+
+    /// Memory-only point lookup: `Some(value)` when memory answers it,
+    /// `None` when the owning leaf is flash-resident. A hit counts exactly
+    /// what a hitting [`BwTree::try_get_async`] counts; a flash-resident
+    /// leaf counts nothing, so the caller can fall back to the
+    /// fetching path without the get being counted twice.
+    pub fn try_get_resident(&self, key: &[u8]) -> Option<Option<Bytes>> {
+        match self.probe_get(key) {
+            (leaf, TryGetAsync::Hit(v)) => {
+                self.count_get(leaf, true);
+                Some(v)
+            }
+            (_, TryGetAsync::NeedFetch { .. }) => None,
+        }
     }
 
     /// Re-probe after [`BwTree::install_fetched`]. Does **not** count a new
@@ -574,18 +597,28 @@ impl BwTree {
     /// counts no main-memory op either — the install already charged the
     /// secondary-storage op, as the blocking miss path does.
     pub fn resume_get(&self, key: &[u8]) -> TryGetAsync {
-        self.probe_get(key, false)
+        self.probe_get(key).1
     }
 
-    fn probe_get(&self, key: &[u8], count_hit: bool) -> TryGetAsync {
+    /// One logical get: the get counter, one MRC access for the first
+    /// leaf the probe reached, and a main-memory op when memory answered.
+    fn count_get(&self, leaf: PageId, hit: bool) {
+        bump!(self.stats, gets);
+        self.mrc.record(leaf, self.config.max_leaf_bytes as u64);
+        if hit {
+            self.stats.mm_op();
+        }
+    }
+
+    /// The uncounted probe behind every non-blocking read: walks to the
+    /// key's leaf and searches it without fetching. Returns the first
+    /// leaf reached (the MRC identity of the access) with the outcome;
+    /// callers decide what the probe counts.
+    fn probe_get(&self, key: &[u8]) -> (PageId, TryGetAsync) {
         let guard = dcs_ebr::pin();
         let vt = self.vtime();
-        let mut pid = self.find_leaf(key, &guard);
-        if count_hit {
-            // One logical get, one MRC access; the resume probe after an
-            // install must not count the page twice.
-            self.mrc.record(pid, self.config.max_leaf_bytes as u64);
-        }
+        let leaf = self.find_leaf(key, &guard);
+        let mut pid = leaf;
         self.mapping.touch(pid, vt);
         loop {
             let head = self.mapping.load(pid);
@@ -603,22 +636,18 @@ impl BwTree {
                     if from_delta_over_flash {
                         bump!(self.stats, record_cache_hits);
                     }
-                    if count_hit {
-                        self.stats.mm_op();
-                    }
-                    return TryGetAsync::Hit(Some(value));
+                    return (leaf, TryGetAsync::Hit(Some(value)));
                 }
                 LeafSearch::Deleted | LeafSearch::Missing => {
-                    if count_hit {
-                        self.stats.mm_op();
-                    }
-                    return TryGetAsync::Hit(None);
+                    return (leaf, TryGetAsync::Hit(None));
                 }
                 LeafSearch::GoRight(r) => {
                     pid = r;
                     self.mapping.touch(pid, vt);
                 }
-                LeafSearch::NeedFetch { token } => return TryGetAsync::NeedFetch { pid, token },
+                LeafSearch::NeedFetch { token } => {
+                    return (leaf, TryGetAsync::NeedFetch { pid, token })
+                }
             }
         }
     }
@@ -1810,6 +1839,7 @@ unsafe fn search_leaf(head: *const Node, key: &[u8]) -> LeafSearch {
     // SAFETY: forwarding this function's own contract — `head` is a live
     // chain protected by the caller's guard.
     for node in unsafe { chain_iter(head) } {
+        debug_assert!(!node.is_inner(), "inner node in leaf chain");
         match node {
             Node::Put { key: k, value, .. } => {
                 if first_answer.is_none() && k.as_ref() == key {
@@ -1918,12 +1948,12 @@ unsafe fn search_leaf(head: *const Node, key: &[u8]) -> LeafSearch {
                     token: first_marker_token.unwrap_or(*token),
                 };
             }
+            // Never in a leaf chain (asserted above); skipped rather than
+            // aborting the reading thread.
             Node::IndexInsert { .. }
             | Node::IndexDelete { .. }
             | Node::InnerSplit { .. }
-            | Node::InnerBase(_) => {
-                unreachable!("inner node in leaf chain")
-            }
+            | Node::InnerBase(_) => {}
         }
     }
     LeafSearch::Missing

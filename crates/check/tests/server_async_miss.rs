@@ -59,6 +59,9 @@ impl AsyncKvStore for ColdStore {
             Ok(AsyncGet::Ready(self.map.lock().unwrap().get(key).cloned()))
         }
     }
+    fn kv_get_resident(&self, key: &[u8]) -> Option<Option<Vec<u8>>> {
+        (!key.starts_with(b"cold")).then(|| self.map.lock().unwrap().get(key).cloned())
+    }
     fn kv_poll(&self, out: &mut Vec<CompletedGet>) -> usize {
         let mut pending = self.pending.lock().unwrap();
         let n = pending.len();

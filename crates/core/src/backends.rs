@@ -373,6 +373,10 @@ impl AsyncKvStore for CachingStore {
         }
     }
 
+    fn kv_get_resident(&self, key: &[u8]) -> Option<Option<Vec<u8>>> {
+        self.get_resident(key).map(|v| v.map(|b| b.to_vec()))
+    }
+
     fn kv_poll(&self, out: &mut Vec<CompletedGet>) -> usize {
         let mut finished = Vec::new();
         let n = self.poll_gets(&mut finished);
@@ -400,6 +404,13 @@ impl AsyncKvStore for LsmBackend {
         }
     }
 
+    /// The LSM has no uncounted memory-only probe (a memtable miss walks
+    /// the levels through the block cache), so every read takes the
+    /// submit path.
+    fn kv_get_resident(&self, _key: &[u8]) -> Option<Option<Vec<u8>>> {
+        None
+    }
+
     fn kv_poll(&self, out: &mut Vec<CompletedGet>) -> usize {
         let mut finished = Vec::new();
         let n = self.0.poll_gets(&mut finished);
@@ -422,6 +433,10 @@ impl AsyncKvStore for BwTreeBackend {
         Ok(AsyncGet::Ready(self.kv_get(key)?))
     }
 
+    fn kv_get_resident(&self, key: &[u8]) -> Option<Option<Vec<u8>>> {
+        self.0.try_get_resident(key).map(|v| v.map(|b| b.to_vec()))
+    }
+
     fn kv_poll(&self, _out: &mut Vec<CompletedGet>) -> usize {
         0
     }
@@ -434,6 +449,10 @@ impl AsyncKvStore for BwTreeBackend {
 impl AsyncKvStore for MassTreeBackend {
     fn kv_get_submit(&self, key: &[u8]) -> Result<AsyncGet, StoreFailure> {
         Ok(AsyncGet::Ready(self.kv_get(key)?))
+    }
+
+    fn kv_get_resident(&self, key: &[u8]) -> Option<Option<Vec<u8>>> {
+        Some(self.0.get(key).map(|b| b.to_vec()))
     }
 
     fn kv_poll(&self, _out: &mut Vec<CompletedGet>) -> usize {

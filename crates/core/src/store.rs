@@ -282,6 +282,20 @@ impl CachingStore {
         r
     }
 
+    /// Memory-only point lookup: `Some(value)` when the record cache or a
+    /// resident leaf answers it, `None` when the read would need flash.
+    /// Never submits I/O. A hit counts exactly what a
+    /// [`SubmittedGet::Ready`] [`CachingStore::get_submit`] counts (one
+    /// tree get and main-memory op, one record-cache MRC access, one
+    /// sweep tick); a `None` counts nothing, so the caller can fall back
+    /// to `get_submit` without the read being counted twice.
+    pub fn get_resident(&self, key: &[u8]) -> Option<Option<Bytes>> {
+        let found = self.tree.try_get_resident(key)?;
+        self.mrc_record(key, found.as_ref().map_or(0, |v| v.len()));
+        self.tick();
+        Some(found)
+    }
+
     fn get_submit_inner(&self, key: &[u8]) -> Result<SubmittedGet, TreeError> {
         let mut probe = self.tree.try_get_async(key);
         loop {

@@ -192,7 +192,18 @@ impl CallGraph {
         for id in 0..nodes.len() {
             let sf = &files[nodes[id].file];
             let f = &sf.fns[nodes[id].fn_idx];
-            let walked = walk_body(sf, f, manifest, &idx, nodes[id].name.as_str());
+            let mut walked = walk_body(sf, f, manifest, &idx, nodes[id].name.as_str());
+            // An instrumentation crate is linked into other crates only
+            // under its cargo feature (e.g. the `check` shims behind a
+            // bare `fence()` re-export); the default build never calls it.
+            let krate = &nodes[id].krate;
+            for c in &mut walked.calls {
+                c.targets.retain(|&t| {
+                    nodes[t].krate == *krate
+                        || !manifest.instrumentation_crates.contains(&nodes[t].krate)
+                });
+            }
+            walked.calls.retain(|c| !c.targets.is_empty());
             nodes[id].locks = walked.locks;
             nodes[id].calls = walked.calls;
             nodes[id].intrinsics = walked.intrinsics;
@@ -1107,6 +1118,28 @@ mod tests {
             targets(&g, "dcs-a::caller"),
             vec!["dcs-b::S1::kv_get", "dcs-b::S2::kv_get"]
         );
+    }
+
+    #[test]
+    fn calls_never_resolve_into_instrumentation_crates() {
+        let files = [
+            file("a", "a.rs", "pub fn caller() { fence(); dcs_chk::spin(); }"),
+            file(
+                "chk",
+                "c.rs",
+                "pub fn fence() { spin(); }\npub fn spin() {}",
+            ),
+        ];
+        let plain = CallGraph::build(&files, &Manifest::default());
+        assert_eq!(
+            targets(&plain, "dcs-a::caller"),
+            vec!["dcs-chk::fence", "dcs-chk::spin"]
+        );
+        let m = Manifest::parse("[callgraph]\ninstrumentation = [\"dcs-chk\"]").unwrap();
+        let g = CallGraph::build(&files, &m);
+        assert!(targets(&g, "dcs-a::caller").is_empty());
+        // Calls inside the instrumentation crate itself still resolve.
+        assert_eq!(targets(&g, "dcs-chk::fence"), vec!["dcs-chk::spin"]);
     }
 
     #[test]

@@ -30,6 +30,9 @@
 //!
 //! [effects]
 //! blocking = ["dcs-flashsim::FlashDevice::read"]
+//!
+//! [callgraph]
+//! instrumentation = ["dcs-check"]
 //! ```
 //!
 //! `[dispatch]` is the interprocedural engine's answer to dynamic
@@ -38,7 +41,10 @@
 //! reach and the call graph takes their union. `[async-shard] roots`
 //! name the drain loops that must stay non-blocking, and `[effects]
 //! blocking` declares functions that block by contract even when their
-//! bodies do not show it syntactically.
+//! bodies do not show it syntactically. `[callgraph] instrumentation`
+//! names crates that other crates link only in instrumented test builds
+//! (behind a cargo feature): the analysis models the default build, so
+//! no call from another crate resolves into them.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -78,6 +84,9 @@ pub struct Manifest {
     /// Receiver field names (last path segment) that are known bounded
     /// mailboxes: `.send()` through them answers BUSY, never blocks.
     pub bounded_senders: Vec<String>,
+    /// Crates other crates reach only under an instrumentation feature;
+    /// calls from outside never resolve into them.
+    pub instrumentation_crates: Vec<String>,
 }
 
 impl Manifest {
@@ -146,6 +155,13 @@ impl Manifest {
             for f in t.get_array("blocking") {
                 m.declared_blocking.push(parse_fn_ref(&f, "effects")?);
             }
+        }
+        if let Some(t) = tables.get("callgraph") {
+            m.instrumentation_crates = t
+                .get_array("instrumentation")
+                .into_iter()
+                .map(|c| c.trim_start_matches("dcs-").to_string())
+                .collect();
         }
         if let Some(t) = tables.get("ordering") {
             m.ordering_crates = t

@@ -22,6 +22,10 @@ pub use dcs_telemetry::HistogramSummary as LatencySummary;
 pub struct ShardMetrics {
     /// Reads (GET) served.
     pub gets: AtomicU64,
+    /// Of `gets`, the cache hits answered on the connection thread by
+    /// [`Shard::try_hit`](crate::shard::Shard::try_hit), never entering
+    /// the mailbox.
+    pub inline_gets: AtomicU64,
     /// Upserts (PUT) applied.
     pub puts: AtomicU64,
     /// Deletes applied.
@@ -67,6 +71,8 @@ pub struct ShardMetrics {
 pub struct ShardSnapshot {
     /// GETs served.
     pub gets: u64,
+    /// Of `gets`, hits served on the connection thread.
+    pub inline_gets: u64,
     /// PUTs applied.
     pub puts: u64,
     /// Deletes applied.
@@ -118,6 +124,7 @@ impl ShardMetrics {
     pub fn snapshot(&self, depth_high_water: usize) -> ShardSnapshot {
         ShardSnapshot {
             gets: self.gets.load(Ordering::Relaxed),
+            inline_gets: self.inline_gets.load(Ordering::Relaxed),
             puts: self.puts.load(Ordering::Relaxed),
             deletes: self.deletes.load(Ordering::Relaxed),
             scans: self.scans.load(Ordering::Relaxed),

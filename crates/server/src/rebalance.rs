@@ -120,6 +120,27 @@ pub fn migrate_range(
         gate.finish();
         return Err(format!("copy failed: {e}"));
     }
+    let copied_n = copied.len();
+    // The target may still hold keys from an earlier ownership of this
+    // range that were deleted after it moved away. Delete every key only
+    // the target holds, in the same group commit as the copy, so its
+    // [lo, hi) ends up equal to the source's. Nothing else writes the
+    // target's copy of the range: it does not own it yet.
+    let mut held: Vec<Vec<u8>> = Vec::new();
+    if let Err(e) = dst
+        .kv_backend()
+        .kv_range(lo, hi, usize::MAX, &mut |k, _| held.push(k.to_vec()))
+    {
+        gate.finish();
+        return Err(format!("target scan failed: {e}"));
+    }
+    // Both lists are in key order (kv_range visits ascending).
+    let stale: Vec<TailEntry> = held
+        .into_iter()
+        .filter(|k| copied.binary_search_by(|(c, _)| c.cmp(k)).is_err())
+        .map(|k| (k, None))
+        .collect();
+    copied.extend(stale);
     if let Err(e) = dst.import(&copied) {
         gate.finish();
         return Err(format!("bulk import failed: {e}"));
@@ -143,7 +164,7 @@ pub fn migrate_range(
     if !installed {
         return Err("a newer map was installed mid-migration".to_string());
     }
-    let moved = (copied.len() + tail.len()) as u64;
+    let moved = (copied_n + tail.len()) as u64;
     let t = dcs_telemetry::global();
     t.counter("rebalance.moves").incr();
     t.counter("rebalance.migrated_records").add(moved);
@@ -153,7 +174,7 @@ pub fn migrate_range(
     dcs_telemetry::ledger().mm_ops(moved);
     dcs_telemetry::ledger().maintenance_op();
     Ok(MigrationStats {
-        copied: copied.len() as u64,
+        copied: copied_n as u64,
         replayed: tail.len() as u64,
         epoch,
     })

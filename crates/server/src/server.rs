@@ -8,6 +8,28 @@
 //! client's request id, so they may be delivered out of order relative to
 //! other requests — that is what makes pipelining useful.
 //!
+//! **Inline hits.** The reader answers a GET itself, without the shard
+//! worker or the writer thread, when all four hold:
+//!
+//! 1. the owning shard runs `MissMode::Async` over an async store handle;
+//! 2. the current partition map still routes the key to that shard
+//!    (`read_misroute` is clear);
+//! 3. the connection has nothing in flight at any shard — the reader
+//!    reads the connection's count of executing requests *before*
+//!    counting this one, so zero means every earlier request on the
+//!    connection has executed, and the read cannot overtake a write it
+//!    was pipelined behind;
+//! 4. the store's memory-only probe hits ([`Shard::try_hit`]).
+//!
+//! Otherwise the request goes through the mailbox exactly as before:
+//! misses, writes, scans, sync miss mode, blocking-only backends and
+//! busy connections keep the shard path. An inline reply is encoded on
+//! the reader and written to the socket under the connection's write
+//! mutex, which the writer thread takes for its batches too, so frames
+//! never interleave. That write may block, but only when this
+//! connection's own peer stops reading: it back-pressures this
+//! connection and no other — no shard worker ever waits on it.
+//!
 //! Shutdown ([`Server::shutdown`]) is a drain: stop accepting, half-close
 //! the read side of every connection (so no new requests arrive but
 //! responses still flow), close the shard mailboxes, and join the shard
@@ -19,7 +41,9 @@
 
 use crate::mailbox::{Mailbox, MailboxStats};
 use crate::metrics::ShardSnapshot;
-use crate::protocol::{decode_frame, encode_to_vec, Frame, ProtoError, Request, Response};
+use crate::protocol::{
+    decode_frame, encode_frame, encode_to_vec, Frame, ProtoError, Request, Response,
+};
 use crate::rebalance::{MigrationStats, RebalanceConfig, Rebalancer};
 use crate::shard::{Mail, Partitioner, ReplySink, Shard, ShardConfig};
 use crate::statsblock::{StatsBlock, StatsPayload, BLOCK_VERSION, SB_MRC, SB_REGISTRY};
@@ -85,11 +109,21 @@ pub struct ServerReport {
 
 /// Per-connection shared state; the shard side sees it as a [`ReplySink`].
 struct ConnState {
+    /// The socket's write side. The writer thread writes outbox batches
+    /// and the reader writes inline hits through it, each a whole number
+    /// of frames per lock, so replies never interleave on the wire.
+    wire: Mutex<TcpStream>,
     /// Encoded response frames awaiting the writer thread. Effectively
     /// unbounded: depth is limited by the shard mailboxes feeding it.
     outbox: Mailbox<Vec<u8>>,
-    /// Requests routed but not yet answered.
+    /// Requests routed but not yet answered; the outbox closes once the
+    /// reader is gone and this reaches zero.
     inflight: AtomicU64,
+    /// Of `inflight`, requests whose reply is not yet produced: queued or
+    /// executing at a shard. It drops *before* the reply is queued, so a
+    /// client that sends its next request on seeing the reply finds the
+    /// connection idle.
+    executing: AtomicU64,
     /// Reader saw EOF (or shutdown half-closed the read side).
     eof: AtomicBool,
     /// Writer hit a socket error; further replies are dropped.
@@ -97,13 +131,22 @@ struct ConnState {
 }
 
 impl ConnState {
-    fn new() -> Self {
+    fn new(wire: TcpStream) -> Self {
         ConnState {
+            wire: Mutex::new(wire),
             outbox: Mailbox::new(usize::MAX >> 1),
             inflight: AtomicU64::new(0),
+            executing: AtomicU64::new(0),
             eof: AtomicBool::new(false),
             dead: AtomicBool::new(false),
         }
+    }
+
+    /// Count one more routed request. Returns whether the connection was
+    /// idle before it: every earlier request on it has executed.
+    fn begin_one(&self) -> bool {
+        self.inflight.fetch_add(1, Ordering::SeqCst);
+        self.executing.fetch_add(1, Ordering::SeqCst) == 0
     }
 
     /// One routed request finished; close the outbox once the reader is
@@ -113,6 +156,27 @@ impl ConnState {
         if was == 1 && self.eof.load(Ordering::SeqCst) {
             self.outbox.close();
         }
+    }
+
+    /// Write `frames` to the socket under the write mutex; a failure
+    /// marks the connection dead so later replies are dropped.
+    fn write_wire(&self, frames: &[u8]) -> bool {
+        let mut wire = self.wire.lock().unwrap_or_else(|e| e.into_inner());
+        let ok = wire.write_all(frames).is_ok();
+        if !ok {
+            self.dead.store(true, Ordering::SeqCst);
+        }
+        ok
+    }
+
+    /// The reader's own reply to an inline hit: already encoded into
+    /// `frame` (outside the lock), written straight to the socket.
+    fn reply_inline(&self, frame: &[u8]) {
+        self.executing.fetch_sub(1, Ordering::SeqCst);
+        if !self.dead.load(Ordering::Relaxed) {
+            self.write_wire(frame);
+        }
+        self.finish_one();
     }
 
     fn reader_done(&self) {
@@ -125,6 +189,7 @@ impl ConnState {
 
 impl ReplySink for ConnState {
     fn deliver(&self, id: u64, resp: Response) {
+        self.executing.fetch_sub(1, Ordering::SeqCst);
         if !self.dead.load(Ordering::Relaxed) {
             let bytes = encode_to_vec(&Frame::Response { id, resp });
             // Closed/full outbox means the connection is going away; the
@@ -245,15 +310,15 @@ impl Server {
                         }
                         let Ok(stream) = stream else { break };
                         stream.set_nodelay(true).ok();
-                        let state = Arc::new(ConnState::new());
+                        let state =
+                            Arc::new(ConnState::new(stream.try_clone().expect("clone stream")));
                         conns
                             .lock()
                             .unwrap()
                             .push((stream.try_clone().expect("clone stream"), state.clone()));
                         let mut handles = Vec::with_capacity(2);
-                        // Reader: decode + route.
+                        // Reader: decode + route (+ inline hits).
                         {
-                            let stream = stream.try_clone().expect("clone stream");
                             let state = state.clone();
                             let shards = shards.clone();
                             let router = router.clone();
@@ -265,15 +330,12 @@ impl Server {
                             );
                         }
                         // Writer: drain outbox onto the socket.
-                        {
-                            let state = state.clone();
-                            handles.push(
-                                std::thread::Builder::new()
-                                    .name("dcs-conn-wr".into())
-                                    .spawn(move || write_loop(stream, &state))
-                                    .expect("spawn writer"),
-                            );
-                        }
+                        handles.push(
+                            std::thread::Builder::new()
+                                .name("dcs-conn-wr".into())
+                                .spawn(move || write_loop(&state))
+                                .expect("spawn writer"),
+                        );
                         conn_threads.lock().unwrap().extend(handles);
                     }
                 })?
@@ -429,6 +491,8 @@ fn read_loop(
 ) {
     let mut buf: Vec<u8> = Vec::with_capacity(64 * 1024);
     let mut tmp = [0u8; 64 * 1024];
+    // Encode buffer for inline replies, reused across requests.
+    let mut reply: Vec<u8> = Vec::with_capacity(256);
     let mut consumed = 0usize;
     'io: loop {
         match stream.read(&mut tmp) {
@@ -441,7 +505,7 @@ fn read_loop(
                     consumed += used;
                     match frame {
                         Frame::Request { id, req } => {
-                            state.inflight.fetch_add(1, Ordering::SeqCst);
+                            let idle = state.begin_one();
                             // STATS is answered here on the connection: a
                             // scrape must work even when every shard
                             // mailbox is refusing with BUSY.
@@ -463,11 +527,20 @@ fn read_loop(
                                 );
                                 continue;
                             };
+                            let enqueued = dcs_telemetry::now_nanos();
+                            if let (true, Request::Get { key }) = (idle, &req) {
+                                if let Some(resp) = shard.try_hit(key, enqueued) {
+                                    reply.clear();
+                                    encode_frame(&Frame::Response { id, resp }, &mut reply);
+                                    state.reply_inline(&reply);
+                                    continue;
+                                }
+                            }
                             shard.offer(Mail {
                                 id,
                                 req,
                                 reply: state.clone() as Arc<dyn ReplySink>,
-                                enqueued: dcs_telemetry::now_nanos(),
+                                enqueued,
                             });
                         }
                         // A client has no business sending response frames;
@@ -532,7 +605,8 @@ pub(crate) fn stats_json(shards: &[Arc<Shard>], router: &Router) -> String {
     let mut write = dcs_telemetry::HistogramSnapshot::default();
     let mut miss = dcs_telemetry::HistogramSnapshot::default();
     let mut depth = dcs_telemetry::HistogramSnapshot::default();
-    let (mut gets, mut puts, mut misses, mut busy, mut moved) = (0u64, 0u64, 0u64, 0u64, 0u64);
+    let (mut gets, mut inline_gets, mut puts, mut misses, mut busy, mut moved) =
+        (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
     for s in shards {
         let m = s.metrics();
         read.merge(&m.read_latency.snapshot());
@@ -540,6 +614,7 @@ pub(crate) fn stats_json(shards: &[Arc<Shard>], router: &Router) -> String {
         miss.merge(&m.miss_latency.snapshot());
         depth.merge(&s.mailbox().stats().depth);
         gets += m.gets.load(Ordering::Relaxed);
+        inline_gets += m.inline_gets.load(Ordering::Relaxed);
         puts += m.puts.load(Ordering::Relaxed);
         misses += m.misses_submitted.load(Ordering::Relaxed);
         busy += m.busy_rejections.load(Ordering::Relaxed);
@@ -561,6 +636,8 @@ pub(crate) fn stats_json(shards: &[Arc<Shard>], router: &Router) -> String {
         .insert("server.miss_latency_nanos".into(), miss);
     snap.histograms.insert("server.mailbox_depth".into(), depth);
     snap.counters.insert("server.gets".into(), gets);
+    snap.counters
+        .insert("server.inline_gets".into(), inline_gets);
     snap.counters.insert("server.puts".into(), puts);
     snap.counters
         .insert("server.misses_submitted".into(), misses);
@@ -578,8 +655,7 @@ fn report_proto_error(state: &ConnState, e: &ProtoError) {
     }
 }
 
-fn write_loop(stream: TcpStream, state: &Arc<ConnState>) {
-    let mut stream = stream;
+fn write_loop(state: &Arc<ConnState>) {
     let mut batch: Vec<Vec<u8>> = Vec::new();
     let mut wire: Vec<u8> = Vec::with_capacity(64 * 1024);
     while state.outbox.recv_batch(256, &mut batch) {
@@ -587,13 +663,16 @@ fn write_loop(stream: TcpStream, state: &Arc<ConnState>) {
         for frame in batch.drain(..) {
             wire.extend_from_slice(&frame);
         }
-        if stream.write_all(&wire).is_err() {
-            state.dead.store(true, Ordering::SeqCst);
+        if !state.write_wire(&wire) {
             break;
         }
     }
     // Either the outbox closed (drain complete) or the socket died; stop
     // accepting replies and let the peer see EOF.
     state.dead.store(true, Ordering::SeqCst);
-    let _ = stream.shutdown(Shutdown::Write);
+    let _ = state
+        .wire
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .shutdown(Shutdown::Write);
 }

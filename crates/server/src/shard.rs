@@ -18,6 +18,11 @@
 //! shard's range continue read-only into higher shards' stores (weakly
 //! consistent across the boundary, exactly like a scan racing concurrent
 //! writers on a single store).
+//!
+//! A GET that memory alone can answer may skip the mailbox entirely:
+//! [`Shard::try_hit`] runs it to completion on the connection thread
+//! (the `server` module docs say when). Writes, scans and misses always
+//! come through the mailbox.
 
 use crate::mailbox::{Mailbox, SendError};
 use crate::metrics::ShardMetrics;
@@ -35,7 +40,9 @@ use std::time::Duration;
 ///
 /// Implemented by the server's per-connection state; tests substitute a
 /// collecting sink. Implementations must never block: the shard worker
-/// calls this on its only thread.
+/// calls this on its only thread. (Hits served by [`Shard::try_hit`] do
+/// not come through here: the connection reader writes those replies to
+/// its own socket, where blocking stalls only that connection.)
 pub trait ReplySink: Send + Sync {
     /// Deliver the response for request `id`.
     fn deliver(&self, id: u64, resp: Response);
@@ -274,6 +281,46 @@ impl Shard {
                     .deliver(mail.id, Response::Err("server shutting down".into()));
             }
         }
+    }
+
+    /// Serve a GET on the calling (connection) thread when memory alone
+    /// can answer it, skipping the mailbox and the worker wake-up. Only
+    /// when this shard runs [`MissMode::Async`] over an async handle, the
+    /// current map still routes `key` here, and the store's memory-only
+    /// probe ([`AsyncKvStore::kv_get_resident`]) hits. Such a hit counts
+    /// the GET, its read latency from `enqueued` (the post-decode stamp a
+    /// [`Mail`] would carry) and its `server.get` span exactly as the
+    /// mailbox path would. Otherwise it counts nothing and returns
+    /// `None`; the caller then routes the request through
+    /// [`Shard::offer`]. Never delivers and never blocks.
+    ///
+    /// Running a read off the owner thread is safe for the same reason
+    /// frozen-window reads are (see `dcs_rebalance::migrate`): reads never
+    /// take the write gate, the ownership check alone decides, and the
+    /// store's read path is latch-free. The caller must not have an
+    /// earlier request of the same connection still in a mailbox, or
+    /// this read could overtake a write it was pipelined behind.
+    pub fn try_hit(&self, key: &[u8], enqueued: u64) -> Option<Response> {
+        if self.miss_mode != MissMode::Async {
+            return None;
+        }
+        let ab = self.async_backend.as_ref()?;
+        if self.router.read_misroute(self.index, key).is_some() {
+            return None;
+        }
+        let value = ab.kv_get_resident(key)?;
+        self.metrics.gets.fetch_add(1, Ordering::Relaxed);
+        self.metrics.inline_gets.fetch_add(1, Ordering::Relaxed);
+        let now = dcs_telemetry::now_nanos();
+        self.metrics
+            .read_latency
+            .record(now.saturating_sub(enqueued));
+        let _span = dcs_telemetry::span_at(
+            "server.get",
+            dcs_telemetry::CostClass::Mm,
+            enqueued.min(now),
+        );
+        Some(Response::Value(value))
     }
 
     /// The worker loop: drain batches until the mailbox is closed *and*
@@ -954,6 +1001,14 @@ mod tests {
             }
         }
 
+        fn kv_get_resident(&self, key: &[u8]) -> Option<Option<Vec<u8>>> {
+            if key.starts_with(b"cold") {
+                None
+            } else {
+                self.inner.kv_get(key).ok()
+            }
+        }
+
         fn kv_poll(&self, out: &mut Vec<CompletedGet>) -> usize {
             let mut pending = self.pending.lock().unwrap();
             let now = Instant::now();
@@ -1060,6 +1115,28 @@ mod tests {
         assert_eq!(shard.metrics().misses_submitted.load(Ordering::Relaxed), 1);
         assert_eq!(shard.metrics().miss_latency.count(), 1);
         assert_eq!(shard.metrics().read_latency.count(), 4);
+    }
+
+    #[test]
+    fn try_hit_serves_resident_gets_only_in_async_mode() {
+        let (shard, _store) = slow_shard(MissMode::Async, 10);
+        let now = dcs_telemetry::now_nanos();
+        assert_eq!(
+            shard.try_hit(b"hot", now),
+            Some(Response::Value(Some(b"h".to_vec())))
+        );
+        assert_eq!(shard.try_hit(b"absent", now), Some(Response::Value(None)));
+        // A miss is left to the mailbox path, uncounted.
+        assert_eq!(shard.try_hit(b"cold1", now), None);
+        let m = shard.metrics();
+        assert_eq!(m.gets.load(Ordering::Relaxed), 2);
+        assert_eq!(m.inline_gets.load(Ordering::Relaxed), 2);
+        assert_eq!(m.read_latency.count(), 2);
+        assert_eq!(shard.mailbox().stats().accepted, 0);
+
+        let (sync, _store) = slow_shard(MissMode::Sync, 10);
+        assert_eq!(sync.try_hit(b"hot", now), None);
+        assert_eq!(sync.metrics().gets.load(Ordering::Relaxed), 0);
     }
 
     #[test]

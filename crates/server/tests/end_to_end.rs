@@ -3,7 +3,7 @@
 //! with zero dropped acknowledged writes, and the existing workload
 //! `Runner` driving a server over TCP through the client's `KvStore` impl.
 
-use dcs_core::BackendKind;
+use dcs_core::{BackendKind, BackendOpts};
 use dcs_server::protocol::{Request, Response};
 use dcs_server::{
     Client, ClientConfig, MissMode, Partitioner, Server, ServerConfig, ShardBackend, ShardConfig,
@@ -12,6 +12,7 @@ use dcs_workload::{
     keys, AsyncGet, AsyncKvStore, CompletedGet, KvStore, Runner, StoreFailure, WorkloadSpec,
 };
 use std::collections::HashSet;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -276,6 +277,9 @@ impl AsyncKvStore for ColdKeyStore {
             Ok(AsyncGet::Ready(self.map.lock().unwrap().get(key).cloned()))
         }
     }
+    fn kv_get_resident(&self, key: &[u8]) -> Option<Option<Vec<u8>>> {
+        (!key.starts_with(b"cold")).then(|| self.map.lock().unwrap().get(key).cloned())
+    }
     fn kv_poll(&self, out: &mut Vec<CompletedGet>) -> usize {
         let mut pending = self.pending.lock().unwrap();
         let now = Instant::now();
@@ -442,4 +446,140 @@ fn workload_runner_drives_server_over_the_wire() {
     let report = server.shutdown();
     let served: u64 = report.shards.iter().map(|s| s.total_ops()).sum();
     assert!(served >= 2_000 + RECORDS);
+}
+
+/// Two caching shards split at "m", each with its async handle, so the
+/// server serves memory hits on the connection thread.
+fn start_caching_async() -> Server {
+    let backends = BackendKind::Caching
+        .build_shards_with(2, BackendOpts::default())
+        .into_iter()
+        .map(|b| ShardBackend {
+            kv: b.kv,
+            async_kv: b.async_kv,
+        })
+        .collect();
+    Server::start_with(
+        backends,
+        Partitioner::from_splits(vec![b"m".to_vec()]),
+        ServerConfig::default(),
+    )
+    .expect("start server")
+}
+
+fn one_connection(server: &Server) -> Client {
+    Client::connect(
+        server.addr(),
+        ClientConfig {
+            connections: 1,
+            ..ClientConfig::default()
+        },
+    )
+    .unwrap()
+}
+
+/// A GET on an idle connection that memory can answer is served by the
+/// connection thread: the owning shard's mailbox never sees it, yet it
+/// is counted as a GET and reported in STATS.
+#[test]
+fn idle_connection_hit_bypasses_the_mailbox() {
+    let server = start_caching_async();
+    let client = one_connection(&server);
+    client.put(b"wk", b"v1").unwrap();
+    let shard = &server.shards()[1];
+    let accepted = shard.mailbox().stats().accepted;
+    assert_eq!(accepted, 1, "the PUT went through the mailbox");
+
+    for _ in 0..5 {
+        assert_eq!(client.get(b"wk").unwrap(), Some(b"v1".to_vec()));
+    }
+    assert_eq!(
+        client.get(b"wz").unwrap(),
+        None,
+        "an absent key is a hit too"
+    );
+    assert_eq!(shard.mailbox().stats().accepted, accepted);
+    assert_eq!(shard.metrics().inline_gets.load(Ordering::Relaxed), 6);
+    assert_eq!(shard.metrics().gets.load(Ordering::Relaxed), 6);
+    assert_eq!(shard.metrics().read_latency.count(), 6);
+    let stats = client.stats().unwrap();
+    assert!(
+        stats.contains("\"server.inline_gets\":6"),
+        "STATS lacks the inline count: {stats}"
+    );
+
+    client.close();
+    let report = server.shutdown();
+    assert_eq!(report.shards[1].inline_gets, 6);
+}
+
+/// A GET pipelined right behind a PUT of the same key on one connection
+/// must see the PUT: the connection is busy, so the GET queues behind
+/// the PUT in the shard mailbox instead of racing it on the reader.
+#[test]
+fn get_pipelined_behind_put_sees_it() {
+    let server = start_caching_async();
+    let client = one_connection(&server);
+    client.put(b"wk", b"v0").unwrap();
+    for i in 1..=50u32 {
+        let value = format!("v{i}").into_bytes();
+        let put = client
+            .submit(Request::Put {
+                key: b"wk".to_vec(),
+                value: value.clone(),
+            })
+            .unwrap();
+        let get = client
+            .submit(Request::Get {
+                key: b"wk".to_vec(),
+            })
+            .unwrap();
+        assert_eq!(get.wait().unwrap(), Response::Value(Some(value)));
+        assert_eq!(put.wait().unwrap(), Response::Ok);
+    }
+    client.close();
+    server.shutdown();
+}
+
+/// Sync miss mode keeps every GET on the shard worker, hits included.
+#[test]
+fn sync_miss_mode_never_serves_inline() {
+    let (server, _store) = start_cold_key_server(MissMode::Sync, Duration::from_millis(1));
+    let client = one_connection(&server);
+    for _ in 0..5 {
+        assert_eq!(client.get(b"hot").unwrap(), Some(b"lava".to_vec()));
+    }
+    let shard = &server.shards()[0];
+    assert_eq!(shard.metrics().inline_gets.load(Ordering::Relaxed), 0);
+    assert_eq!(shard.mailbox().stats().accepted, 5);
+    client.close();
+    server.shutdown();
+}
+
+/// Moving a range away and back must not resurrect a key deleted while
+/// it was away: the return import deletes what only the target still
+/// holds from its earlier ownership.
+#[test]
+fn range_round_trip_keeps_acknowledged_deletes() {
+    let server = start_caching_async();
+    let client = one_connection(&server);
+    client.put(b"wk", b"old").unwrap();
+    let range = server.router().map().load().range_of(b"wk");
+    assert_eq!(server.router().map().load().owner_of_range(range), Some(1));
+
+    server.migrate_range(range, 0).expect("move to shard 0");
+    client.delete(b"wk").unwrap();
+    assert_eq!(client.get(b"wk").unwrap(), None);
+    server
+        .migrate_range(range, 1)
+        .expect("move back to shard 1");
+
+    assert_eq!(
+        client.get(b"wk").unwrap(),
+        None,
+        "an acknowledged delete was undone by the move back"
+    );
+    assert_eq!(server.backends()[1].kv_get(b"wk").unwrap(), None);
+    client.close();
+    server.shutdown();
 }

@@ -11,11 +11,17 @@
 //! its invocation and its response. A write acked at the source but lost
 //! in the handoff, or a stale read served from the old owner after the
 //! install, shows up as a non-linearizable history here.
+//!
+//! The windows run twice: over blocking-only backends, where every GET
+//! executes on a shard worker, and over async store handles, where an
+//! idle connection's cache hits execute on its own reader thread and so
+//! race the copy, freeze and install from outside the shard.
 
-use dcs_core::BackendKind;
+use dcs_core::{BackendKind, BackendOpts};
 use dcs_lin::{ConcurrentMap, Recorded, ScanSemantics};
-use dcs_server::{Client, ClientConfig, Partitioner, Server, ServerConfig};
+use dcs_server::{Client, ClientConfig, Partitioner, Server, ServerConfig, ShardBackend};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// The server seen through its own client: the unit under test is the
@@ -57,18 +63,42 @@ const ROUNDS: usize = 8;
 
 /// One window: client threads do random gets/puts/deletes over a 4-key
 /// pool private to this round while the main thread moves the pool's
-/// range to the other shard and back. History checked per window.
+/// range to the other shard and back. History checked per window, for
+/// each of the two ways a server can serve GETs.
 #[test]
 fn wire_ops_racing_range_moves_are_linearizable() {
-    let backends = BackendKind::Caching.build_shards(2);
     // All window keys ("w…") sort above "m": they start on shard 1 and
     // ping-pong between the shards as the test migrates their range.
-    let server = Server::start(
-        backends,
-        Partitioner::from_splits(vec![b"m".to_vec()]),
+    let split = || Partitioner::from_splits(vec![b"m".to_vec()]);
+    let blocking = Server::start(
+        BackendKind::Caching.build_shards(2),
+        split(),
         ServerConfig::default(),
     )
     .expect("start server");
+    let inline = race_range_moves(blocking, "blocking");
+    assert_eq!(inline, 0, "blocking-only backends never serve inline");
+
+    let with_async = Server::start_with(
+        BackendKind::Caching
+            .build_shards_with(2, BackendOpts::default())
+            .into_iter()
+            .map(|b| ShardBackend {
+                kv: b.kv,
+                async_kv: b.async_kv,
+            })
+            .collect(),
+        split(),
+        ServerConfig::default(),
+    )
+    .expect("start server");
+    let inline = race_range_moves(with_async, "async");
+    assert!(inline > 0, "no GET was served inline");
+}
+
+/// Run every window against `server`, check each history, shut the
+/// server down and return how many GETs it served inline.
+fn race_range_moves(server: Server, label: &str) -> u64 {
     let client = Arc::new(
         Client::connect(
             server.addr(),
@@ -121,7 +151,7 @@ fn wire_ops_racing_range_moves_are_linearizable() {
                 .migrate_range(range, 1 - there)
                 .expect("migrate back");
         });
-        rec.check(&format!("rebalance round {round}"));
+        rec.check(&format!("{label} rebalance round {round}"));
     }
 
     // The moves really happened online: each round installs two epochs.
@@ -129,6 +159,12 @@ fn wire_ops_racing_range_moves_are_linearizable() {
         server.router().map().load().epoch() >= (ROUNDS as u64) * 2,
         "migrations did not install new map epochs"
     );
+    let inline = server
+        .shards()
+        .iter()
+        .map(|s| s.metrics().inline_gets.load(Ordering::Relaxed))
+        .sum();
     client.close();
     server.shutdown();
+    inline
 }

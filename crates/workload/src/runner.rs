@@ -82,6 +82,13 @@ pub trait AsyncKvStore: KvStore {
     /// [`AsyncGet::Ready`]; cache misses return [`AsyncGet::Pending`] with a
     /// token and proceed in the background.
     fn kv_get_submit(&self, key: &[u8]) -> Result<AsyncGet, StoreFailure>;
+    /// Answer a point read from memory alone: `Some(value)` on a hit,
+    /// `None` when the read would need I/O, failed, or the store cannot
+    /// tell without trying. Never submits I/O and never blocks, so any
+    /// thread may call it; a `None` counts nothing, leaving the read to
+    /// [`AsyncKvStore::kv_get_submit`]. A hit counts exactly what a
+    /// [`AsyncGet::Ready`] submit counts.
+    fn kv_get_resident(&self, key: &[u8]) -> Option<Option<Vec<u8>>>;
     /// Reap every completed miss into `out`, returning how many were reaped.
     /// Non-blocking.
     fn kv_poll(&self, out: &mut Vec<CompletedGet>) -> usize;
