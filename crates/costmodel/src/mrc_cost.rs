@@ -107,11 +107,7 @@ pub fn marginal_at(
 /// where the measured curve says this consumer's cache should stop
 /// growing. Returns the curve's smallest budget when no interval breaks
 /// even.
-pub fn recommended_bytes(
-    hw: &HardwareCatalog,
-    access_rate: f64,
-    curve: &[MrcCurvePoint],
-) -> f64 {
+pub fn recommended_bytes(hw: &HardwareCatalog, access_rate: f64, curve: &[MrcCurvePoint]) -> f64 {
     let floor = curve.first().map_or(0.0, |p| p.bytes);
     marginal_curve(hw, access_rate, curve)
         .iter()

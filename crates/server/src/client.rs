@@ -1,21 +1,39 @@
 //! `dcs-client`: pooled, pipelined connections to a `dcs-server`.
 //!
-//! Each connection has a mutex-guarded write half (senders interleave whole
-//! frames) and a reader thread that matches response frames to waiting
-//! callers by request id — so any number of requests can be in flight per
-//! connection and responses may return out of order. [`Client::submit`]
-//! returns a [`Ticket`] immediately; [`Ticket::wait`] blocks for that one
-//! response. If a connection dies (EOF, I/O error, undecodable frame),
-//! every in-flight ticket on it fails with [`ClientError::ConnectionClosed`]
+//! Any number of requests can be in flight per connection, and responses
+//! may return out of order: each carries its request id.
+//! [`Client::submit`] writes the request under the connection's write
+//! mutex (senders interleave whole frames) and returns a [`Ticket`]
+//! immediately; [`Ticket::wait`] blocks for that one response.
+//!
+//! **Thread model.** The client starts no threads: callers read their
+//! own replies, leader/follower style. A waiter whose reply has not
+//! arrived takes the connection's read half (a mutex over its frame
+//! buffer) and decodes replies off the socket, filling the slot of every
+//! ticket it meets, until its own reply lands. It then releases the read
+//! half and nudges one parked waiter whose reply is still out, which takes
+//! the reading over; a waiter that finds the read half taken parks on its
+//! own slot. A closed-loop caller thus runs write → server → read on its
+//! own thread, with no wake-up in between.
+//!
+//! Nobody reads while no caller waits, and the server stops reading
+//! requests while its write to an unread socket is blocked. So a submit
+//! whose write stalls (the socket's send timeout fires) first drains the
+//! replies already received into their slots, then resumes: a thread that
+//! submits a deep pipeline before waiting on any of it cannot deadlock.
+//! A write that does not stall never touches the read half.
+//!
+//! If a connection dies (EOF, I/O error, undecodable frame), every
+//! in-flight ticket on it fails with [`ClientError::ConnectionClosed`]
 //! rather than hanging — the kill-mid-pipeline contract.
 
 use crate::protocol::{decode_frame, encode_to_vec, Frame, Request, Response};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Client-side failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,50 +76,118 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
+/// How long a request write may block before its sender drains the
+/// replies already received: the socket's send timeout. The kernel only
+/// applies it once the send buffer is full, so an unstalled write never
+/// waits on it.
+const SEND_STALL: Duration = Duration::from_millis(1);
+
 /// One-shot response slot a ticket waits on.
 struct Slot {
-    state: Mutex<Option<Result<Response, ClientError>>>,
+    state: Mutex<SlotState>,
     ready: Condvar,
+}
+
+#[derive(Default)]
+struct SlotState {
+    result: Option<Result<Response, ClientError>>,
+    /// The ticket's waiter sleeps on `ready`: a fill or a hand-off must
+    /// wake it.
+    parked: bool,
 }
 
 impl Slot {
     fn new() -> Self {
         Slot {
-            state: Mutex::new(None),
+            state: Mutex::new(SlotState::default()),
             ready: Condvar::new(),
         }
     }
 
     fn fill(&self, result: Result<Response, ClientError>) {
         let mut state = self.state.lock().unwrap();
-        if state.is_none() {
-            *state = Some(result);
-            self.ready.notify_all();
+        if state.result.is_none() {
+            state.result = Some(result);
+            if state.parked {
+                self.ready.notify_one();
+            }
         }
     }
 
-    fn wait(&self) -> Result<Response, ClientError> {
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if let Some(result) = state.take() {
-                return result;
+    /// Wake the parked waiter, if there is one, to take the read half
+    /// over. Returns whether there was.
+    fn nudge(&self) -> bool {
+        let state = self.state.lock().unwrap();
+        if state.parked {
+            self.ready.notify_one();
+        }
+        state.parked
+    }
+}
+
+/// A connection's read half: bytes received but not yet decoded. Whoever
+/// holds its lock is the connection's one reader.
+struct RecvBuf {
+    bytes: Vec<u8>,
+    /// The undecoded bytes are `bytes[start..end]`.
+    start: usize,
+    end: usize,
+}
+
+impl RecvBuf {
+    fn new() -> Self {
+        RecvBuf {
+            bytes: vec![0; 64 * 1024],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// One `read` into the free tail, compacting (or, for a frame larger
+    /// than the buffer, growing) it first when the tail is full.
+    fn read_from(&mut self, mut sock: &TcpStream) -> std::io::Result<usize> {
+        if self.end == self.bytes.len() {
+            if self.start > 0 {
+                self.bytes.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+            } else {
+                self.bytes.resize(self.bytes.len() * 2, 0);
             }
-            state = self.ready.wait(state).unwrap();
+        }
+        let n = sock.read(&mut self.bytes[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    fn consume(&mut self, used: usize) {
+        self.start += used;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
         }
     }
 }
 
 struct Conn {
-    writer: Mutex<TcpStream>,
+    /// The socket: requests go out under `send`, replies come in under
+    /// `recv`, and shutting it down needs neither.
+    sock: TcpStream,
+    /// Held for a whole request frame, so senders never interleave.
+    send: Mutex<()>,
+    /// The read half, taken by one waiting caller at a time (module doc).
+    recv: Mutex<RecvBuf>,
     pending: Mutex<HashMap<u64, Arc<Slot>>>,
     next_id: AtomicU64,
     dead: AtomicBool,
 }
 
 impl Conn {
-    /// Fail every in-flight request; called when the read side dies.
+    /// Shut the socket down (waking a waiter blocked reading it) and fail
+    /// every in-flight request.
     fn poison(&self) {
         self.dead.store(true, Ordering::SeqCst);
+        let _ = self.sock.shutdown(Shutdown::Both);
         let drained: Vec<Arc<Slot>> = self
             .pending
             .lock()
@@ -113,20 +199,151 @@ impl Conn {
             slot.fill(Err(ClientError::ConnectionClosed));
         }
     }
+
+    /// Write one request frame. A write that stalls past the send timeout
+    /// drains the replies already received, then resumes.
+    fn send_frame(&self, frame: &[u8]) -> std::io::Result<()> {
+        let _send = self.send.lock().unwrap();
+        let mut sent = 0;
+        while sent < frame.len() {
+            match (&self.sock).write(&frame[sent..]) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => sent += n,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    self.drain();
+                    if self.dead.load(Ordering::SeqCst) {
+                        return Err(ErrorKind::ConnectionAborted.into());
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Unless a waiter is reading already, take the read half and decode
+    /// every reply received so far into its slot, without blocking.
+    fn drain(&self) {
+        let Ok(mut rb) = self.recv.try_lock() else {
+            return;
+        };
+        if self.sock.set_nonblocking(true).is_ok() {
+            loop {
+                match rb.read_from(&self.sock) {
+                    Ok(0) => self.poison(),
+                    Ok(_) => {
+                        self.deliver(&mut rb, None);
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(_) => self.poison(),
+                }
+                if self.dead.load(Ordering::SeqCst) {
+                    break;
+                }
+            }
+            if self.sock.set_nonblocking(false).is_err() {
+                self.poison();
+            }
+        }
+        drop(rb);
+        self.hand_off();
+    }
+
+    /// As the connection's reader, read until the reply to `id` arrives,
+    /// filling every other ticket's slot on the way. `None` once the
+    /// connection is dead.
+    fn read_until(&self, rb: &mut RecvBuf, id: u64) -> Option<Response> {
+        loop {
+            if let Some(resp) = self.deliver(rb, Some(id)) {
+                return Some(resp);
+            }
+            if self.dead.load(Ordering::SeqCst) {
+                break;
+            }
+            match rb.read_from(&self.sock) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+        self.poison();
+        None
+    }
+
+    /// Decode every whole reply in `rb` into its ticket's slot; the reply
+    /// to `mine` is returned instead. A corrupt stream poisons the
+    /// connection.
+    fn deliver(&self, rb: &mut RecvBuf, mine: Option<u64>) -> Option<Response> {
+        let mut own = None;
+        loop {
+            match decode_frame(&rb.bytes[rb.start..rb.end]) {
+                Ok(Some((Frame::Response { id, resp }, used))) => {
+                    rb.consume(used);
+                    let slot = self.pending.lock().unwrap().remove(&id);
+                    if Some(id) == mine {
+                        own = Some(resp);
+                    } else if let Some(slot) = slot {
+                        slot.fill(Ok(resp));
+                    }
+                    // id 0 is the server's "framing broken" notice — no
+                    // ticket carries it; the connection is about to close.
+                }
+                Ok(None) => return own,
+                Ok(Some((Frame::Request { .. }, _))) | Err(_) => {
+                    self.poison();
+                    return own;
+                }
+            }
+        }
+    }
+
+    /// The read half was just released: wake one parked waiter whose
+    /// reply is still out, so it takes the reading over.
+    fn hand_off(&self) {
+        let pending = self.pending.lock().unwrap();
+        for slot in pending.values() {
+            if slot.nudge() {
+                break;
+            }
+        }
+    }
 }
 
 /// A pending response. `wait` consumes the ticket and blocks until the
 /// response (or the connection's demise) arrives.
 pub struct Ticket {
     slot: Arc<Slot>,
+    conn: Arc<Conn>,
     /// The request id carried on the wire.
     pub id: u64,
 }
 
 impl Ticket {
-    /// Block for the response.
+    /// Block for the response, reading the connection itself unless
+    /// another waiter already is.
     pub fn wait(self) -> Result<Response, ClientError> {
-        self.slot.wait()
+        let conn = &self.conn;
+        let mut state = self.slot.state.lock().unwrap();
+        loop {
+            if let Some(result) = state.result.take() {
+                return result;
+            }
+            // Slot state, then the read half — but only tried, so the
+            // reader filling this slot never waits behind us.
+            if let Ok(mut rb) = conn.recv.try_lock() {
+                drop(state);
+                let resp = conn.read_until(&mut rb, self.id);
+                drop(rb);
+                conn.hand_off();
+                return resp.ok_or(ClientError::ConnectionClosed);
+            }
+            state.parked = true;
+            state = self.slot.ready.wait(state).unwrap();
+            state.parked = false;
+        }
     }
 }
 
@@ -167,7 +384,6 @@ impl Default for ClientConfig {
 /// A pool of pipelined connections to one server.
 pub struct Client {
     conns: Vec<Arc<Conn>>,
-    readers: Mutex<Vec<JoinHandle<()>>>,
     rr: AtomicUsize,
     busy_retries: usize,
     moved_retries: usize,
@@ -185,32 +401,23 @@ impl Client {
     /// Connect `config.connections` sockets to `addr`.
     pub fn connect(addr: SocketAddr, config: ClientConfig) -> Result<Client, ClientError> {
         assert!(config.connections > 0, "need at least one connection");
+        let io = |e: std::io::Error| ClientError::Io(e.to_string());
         let mut conns = Vec::with_capacity(config.connections);
-        let mut readers = Vec::with_capacity(config.connections);
-        for i in 0..config.connections {
-            let stream = TcpStream::connect(addr).map_err(|e| ClientError::Io(e.to_string()))?;
-            stream.set_nodelay(true).ok();
-            let read_half = stream
-                .try_clone()
-                .map_err(|e| ClientError::Io(e.to_string()))?;
-            let conn = Arc::new(Conn {
-                writer: Mutex::new(stream),
+        for _ in 0..config.connections {
+            let sock = TcpStream::connect(addr).map_err(io)?;
+            sock.set_nodelay(true).ok();
+            sock.set_write_timeout(Some(SEND_STALL)).map_err(io)?;
+            conns.push(Arc::new(Conn {
+                sock,
+                send: Mutex::new(()),
+                recv: Mutex::new(RecvBuf::new()),
                 pending: Mutex::new(HashMap::new()),
                 next_id: AtomicU64::new(1),
                 dead: AtomicBool::new(false),
-            });
-            let rc = conn.clone();
-            readers.push(
-                std::thread::Builder::new()
-                    .name(format!("dcs-client-rd-{i}"))
-                    .spawn(move || client_read_loop(read_half, &rc))
-                    .map_err(|e| ClientError::Io(e.to_string()))?,
-            );
-            conns.push(conn);
+            }));
         }
         Ok(Client {
             conns,
-            readers: Mutex::new(readers),
             rr: AtomicUsize::new(0),
             busy_retries: config.busy_retries,
             moved_retries: config.moved_retries,
@@ -239,16 +446,16 @@ impl Client {
         // Register before writing: the response can race the write return.
         conn.pending.lock().unwrap().insert(id, slot.clone());
         let bytes = encode_to_vec(&Frame::Request { id, req });
-        let write = {
-            let mut w = conn.writer.lock().unwrap();
-            w.write_all(&bytes)
-        };
-        if let Err(e) = write {
+        if let Err(e) = conn.send_frame(&bytes) {
             conn.pending.lock().unwrap().remove(&id);
             conn.poison();
             return Err(ClientError::Io(e.to_string()));
         }
-        Ok(Ticket { slot, id })
+        Ok(Ticket {
+            slot,
+            conn: conn.clone(),
+            id,
+        })
     }
 
     /// Point read.
@@ -408,17 +615,12 @@ impl Client {
         }
     }
 
-    /// Close every connection and join the reader threads. In-flight
-    /// tickets fail with [`ClientError::ConnectionClosed`].
+    /// Close every connection. In-flight tickets fail with
+    /// [`ClientError::ConnectionClosed`]; a waiter blocked reading wakes
+    /// to the shutdown.
     pub fn close(&self) {
         for conn in &self.conns {
-            if let Ok(w) = conn.writer.lock() {
-                let _ = w.shutdown(Shutdown::Both);
-            }
-        }
-        let handles: Vec<_> = self.readers.lock().unwrap().drain(..).collect();
-        for t in handles {
-            let _ = t.join();
+            conn.poison();
         }
     }
 }
@@ -449,37 +651,4 @@ impl dcs_workload::KvStore for Client {
             .map(|n| n as usize)
             .map_err(|e| dcs_workload::StoreFailure(e.to_string()))
     }
-}
-
-fn client_read_loop(mut stream: TcpStream, conn: &Arc<Conn>) {
-    let mut buf: Vec<u8> = Vec::with_capacity(64 * 1024);
-    let mut tmp = [0u8; 64 * 1024];
-    let mut consumed = 0usize;
-    'io: loop {
-        match stream.read(&mut tmp) {
-            Ok(0) | Err(_) => break 'io,
-            Ok(n) => buf.extend_from_slice(&tmp[..n]),
-        }
-        loop {
-            match decode_frame(&buf[consumed..]) {
-                Ok(Some((Frame::Response { id, resp }, used))) => {
-                    consumed += used;
-                    let slot = conn.pending.lock().unwrap().remove(&id);
-                    if let Some(slot) = slot {
-                        slot.fill(Ok(resp));
-                    }
-                    // id 0 is the server's "framing broken" notice — no
-                    // ticket carries it; the connection is about to close
-                    // and poison() will fail the rest.
-                }
-                Ok(Some((Frame::Request { .. }, _))) | Err(_) => break 'io,
-                Ok(None) => break,
-            }
-        }
-        if consumed > 0 {
-            buf.drain(..consumed);
-            consumed = 0;
-        }
-    }
-    conn.poison();
 }

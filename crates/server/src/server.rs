@@ -28,7 +28,10 @@
 //! mutex, which the writer thread takes for its batches too, so frames
 //! never interleave. That write may block, but only when this
 //! connection's own peer stops reading: it back-pressures this
-//! connection and no other — no shard worker ever waits on it.
+//! connection and no other — no shard worker ever waits on it. A
+//! [`Client`](crate::Client) with no caller waiting is such a peer; its
+//! submits drain replies when their own writes stall, so it cannot
+//! deadlock against this reader.
 //!
 //! Shutdown ([`Server::shutdown`]) is a drain: stop accepting, half-close
 //! the read side of every connection (so no new requests arrive but

@@ -6,14 +6,15 @@
 use dcs_core::{BackendKind, BackendOpts};
 use dcs_server::protocol::{Request, Response};
 use dcs_server::{
-    Client, ClientConfig, MissMode, Partitioner, Server, ServerConfig, ShardBackend, ShardConfig,
+    Client, ClientConfig, ClientError, MissMode, Partitioner, Server, ServerConfig, ShardBackend,
+    ShardConfig,
 };
 use dcs_workload::{
     keys, AsyncGet, AsyncKvStore, CompletedGet, KvStore, Runner, StoreFailure, WorkloadSpec,
 };
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn start_caching(
@@ -581,5 +582,155 @@ fn range_round_trip_keeps_acknowledged_deletes() {
     );
     assert_eq!(server.backends()[1].kv_get(b"wk").unwrap(), None);
     client.close();
+    server.shutdown();
+}
+
+/// One thread pipelines 256 GETs of a 512 KiB value, each keyed by
+/// 60,000 bytes, on one connection before waiting on any of them. The
+/// server writes these inline hits itself and stops reading requests
+/// while its replies go unread, so the client's stalled submits must
+/// drain replies or the pipeline deadlocks.
+#[test]
+fn deep_pipeline_of_large_replies_completes() {
+    const DEPTH: usize = 256;
+    let (server, store) = start_cold_key_server(MissMode::Async, Duration::from_millis(1));
+    let key = vec![b'k'; 60_000];
+    let value: Vec<u8> = (0..512 * 1024u32).map(|i| (i % 251) as u8).collect();
+    store.kv_put(key.clone(), value.clone()).unwrap();
+    let client = Arc::new(one_connection(&server));
+    let (done, rx) = mpsc::channel();
+    let pipeliner = client.clone();
+    std::thread::spawn(move || {
+        let tickets: Vec<_> = (0..DEPTH)
+            .map(|_| pipeliner.submit(Request::Get { key: key.clone() }).unwrap())
+            .collect();
+        let answered = tickets
+            .into_iter()
+            .map(|t| t.wait())
+            .filter(|r| matches!(r, Ok(Response::Value(Some(v))) if *v == value))
+            .count();
+        done.send(answered).unwrap();
+    });
+    // Unoptimised builds move the ~134 MB of replies about three times
+    // slower (1.1–1.5 s alone on 2 vCPUs, 0.4–0.5 s optimised), and the
+    // suite's other tests share the cores. A deadlock never finishes, so
+    // the looser bound there loses nothing.
+    let bound = Duration::from_secs(if cfg!(debug_assertions) { 10 } else { 2 });
+    let answered = rx.recv_timeout(bound).unwrap_or_else(|_| {
+        panic!("a deep pipeline of large replies must finish within {bound:?}")
+    });
+    assert_eq!(answered, DEPTH, "every GET returns the stored value");
+    client.close();
+    server.shutdown();
+}
+
+/// One reply as a waiting thread saw it: the key, the outcome, and when
+/// `wait` returned.
+type Waited = (&'static str, Result<Response, ClientError>, Instant);
+
+/// GETs each key on `client` and waits on it from a thread of its own,
+/// pausing `gap` after each so that an earlier waiter holds the read half
+/// before a later one waits. Outcomes arrive in completion order. Should
+/// the scheduler delay a thread past its gap, the roles swap and the
+/// callers' assertions still hold: the test gets weaker, not flaky.
+fn wait_in_threads(client: &Client, gets: &[(&'static str, Duration)]) -> mpsc::Receiver<Waited> {
+    let (done, rx) = mpsc::channel();
+    for &(key, gap) in gets {
+        let ticket = client
+            .submit(Request::Get {
+                key: key.as_bytes().to_vec(),
+            })
+            .unwrap();
+        let done = done.clone();
+        std::thread::spawn(move || {
+            let outcome = ticket.wait();
+            done.send((key, outcome, Instant::now())).unwrap();
+        });
+        std::thread::sleep(gap);
+    }
+    rx
+}
+
+/// Two threads share one connection. The waiter of the delayed GET is
+/// the reader, so it fills the other waiter's slot: the immediate reply
+/// returns long before the delay.
+#[test]
+fn reading_waiter_fills_the_other_waiters_slot() {
+    const DELAY: Duration = Duration::from_millis(200);
+    let (server, _store) = start_cold_key_server(MissMode::Async, DELAY);
+    let client = one_connection(&server);
+    let t0 = Instant::now();
+    let rx = wait_in_threads(
+        &client,
+        &[
+            ("coldA", Duration::from_millis(20)),
+            ("hot", Duration::ZERO),
+        ],
+    );
+    let (key, outcome, at) = rx.recv_timeout(DELAY * 5).expect("a waiter hung");
+    assert_eq!(key, "hot");
+    assert_eq!(outcome.unwrap(), Response::Value(Some(b"lava".to_vec())));
+    assert!(
+        at - t0 < DELAY / 2,
+        "the immediate reply took {:?}: the reader did not fill its slot",
+        at - t0
+    );
+    let (key, outcome, at) = rx.recv_timeout(DELAY * 5).expect("the reader hung");
+    assert_eq!(key, "coldA");
+    assert_eq!(outcome.unwrap(), Response::Value(Some(b"polar".to_vec())));
+    assert!(at - t0 >= DELAY, "miss answered before its fetch");
+    client.close();
+    server.shutdown();
+}
+
+/// The reverse order: the reader's own reply lands first while the other
+/// waiter is parked, so the reader must hand the read half over for the
+/// later reply to resolve.
+#[test]
+fn reader_hands_the_read_half_to_a_parked_waiter() {
+    const DELAY: Duration = Duration::from_millis(200);
+    let (server, store) = start_cold_key_server(MissMode::Async, DELAY);
+    store.kv_put(b"coldB".to_vec(), b"ice".to_vec()).unwrap();
+    let client = one_connection(&server);
+    // coldB is submitted 50 ms after coldA, so its reply lands 50 ms
+    // after the reader's own, while its waiter is parked.
+    let rx = wait_in_threads(
+        &client,
+        &[
+            ("coldA", Duration::from_millis(50)),
+            ("coldB", Duration::ZERO),
+        ],
+    );
+    for (want_key, want_value) in [("coldA", "polar"), ("coldB", "ice")] {
+        let (key, outcome, _) = rx
+            .recv_timeout(DELAY * 5)
+            .expect("the parked waiter was never handed the read half");
+        assert_eq!(key, want_key);
+        assert_eq!(outcome.unwrap(), Response::Value(Some(want_value.into())));
+    }
+    client.close();
+    server.shutdown();
+}
+
+/// `close` while one thread is blocked in `wait` as the reader and
+/// another is parked resolves both with `ConnectionClosed`, long before
+/// either reply could land.
+#[test]
+fn close_resolves_the_reading_and_the_parked_waiter() {
+    const DELAY: Duration = Duration::from_secs(1);
+    let (server, store) = start_cold_key_server(MissMode::Async, DELAY);
+    store.kv_put(b"coldB".to_vec(), b"ice".to_vec()).unwrap();
+    let client = one_connection(&server);
+    let gap = Duration::from_millis(20);
+    let rx = wait_in_threads(&client, &[("coldA", gap), ("coldB", gap)]);
+    let t0 = Instant::now();
+    client.close();
+    for _ in 0..2 {
+        let (_, outcome, at) = rx
+            .recv_timeout(DELAY / 2)
+            .expect("close left a waiter hanging");
+        assert_eq!(outcome, Err(ClientError::ConnectionClosed));
+        assert!(at - t0 < DELAY / 2);
+    }
     server.shutdown();
 }

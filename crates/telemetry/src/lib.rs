@@ -28,13 +28,13 @@
 //!   sampled) [`CostLedger`] counts MM ops, SS I/Os, and occupancy so
 //!   `dcs_costmodel::accounting` can be fed *measured* rather than
 //!   modeled inputs.
-//! * [`mrc`] — online miss-ratio curves per memory consumer via
+//! * [`mrc`](mod@mrc) — online miss-ratio curves per memory consumer via
 //!   SHARDS-style spatially-hashed reuse-distance sampling (exact
 //!   ghost-cache mode for tests): the counterfactual the ledger cannot
 //!   see — what a bigger or smaller cache *would* do.
-//! * [`flight`] — a bounded ring of registry + MRC snapshots captured
-//!   on a tick cadence and dumped on anomaly (BUSY spike, p95
-//!   regression, reconciliation failure) for postmortems.
+//! * [`flight`](mod@flight) — a bounded ring of registry + MRC
+//!   snapshots captured on a tick cadence and dumped on anomaly (BUSY
+//!   spike, p95 regression, reconciliation failure) for postmortems.
 //!
 //! The crate is a dependency leaf (std only) so every runtime crate —
 //! ebr, flashsim, llama, lsm, bwtree, tc, core, server — can record into

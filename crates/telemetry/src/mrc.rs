@@ -652,7 +652,10 @@ mod tests {
         }
         let s = p.snapshot();
         // 2 cold, 9 998 reuses at distance 1: a 2-entity cache hits all.
-        assert!((s.miss_ratio_at(2.0) - 2.0 / 10_000.0).abs() < 1e-9, "{s:?}");
+        assert!(
+            (s.miss_ratio_at(2.0) - 2.0 / 10_000.0).abs() < 1e-9,
+            "{s:?}"
+        );
     }
 
     #[test]
@@ -678,7 +681,10 @@ mod tests {
         }
         let (es, ss) = (exact.snapshot(), shards.snapshot());
         let mae = ss.mean_absolute_error(&es);
-        assert!(mae <= 0.02, "zipfian MAE {mae} exceeds 0.02\n{es:?}\n{ss:?}");
+        assert!(
+            mae <= 0.02,
+            "zipfian MAE {mae} exceeds 0.02\n{es:?}\n{ss:?}"
+        );
         // The sampler really sampled: ~1/8 of the stream.
         let frac = ss.sampled as f64 / ss.accesses as f64;
         assert!((frac - 0.125).abs() < 0.02, "sampled fraction {frac}");
@@ -709,7 +715,10 @@ mod tests {
         }
         let (es, ss) = (exact.snapshot(), shards.snapshot());
         let mae = ss.mean_absolute_error(&es);
-        assert!(mae <= 0.02, "uniform MAE {mae} exceeds 0.02\n{es:?}\n{ss:?}");
+        assert!(
+            mae <= 0.02,
+            "uniform MAE {mae} exceeds 0.02\n{es:?}\n{ss:?}"
+        );
     }
 
     #[test]
